@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import zlib
 from typing import Dict, List, Optional
 
 from repro.errors import ReproError
@@ -62,7 +63,7 @@ class Environment:
             entropy_seed=(
                 entropy_seed
                 if entropy_seed is not None
-                else self._seed ^ hash(process_name) & 0xFFFF
+                else self._seed ^ zlib.crc32(process_name.encode()) & 0xFFFF
             ),
         )
         self._sessions.append(session)

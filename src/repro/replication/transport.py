@@ -767,32 +767,18 @@ class ChaosTransport(FaultyTransport):
 # ======================================================================
 # Real sockets
 # ======================================================================
-def _read_uvarint(sock: socket.socket) -> Optional[int]:
-    """Read one varint from a blocking socket; None on clean EOF."""
+def _framed(payload: bytes) -> bytes:
+    """One wire frame: ``uvarint(len(payload)) || payload``."""
+    return Writer().uvarint(len(payload)).bytes() + payload
+
+
+def _buf_uvarint(buf: bytes, pos: int = 0) -> Optional[Tuple[int, int]]:
+    """Parse one varint from ``buf`` at ``pos``; returns
+    ``(value, position_after)`` or ``None`` when incomplete."""
     shift = 0
     value = 0
-    while True:
-        byte = sock.recv(1)
-        if not byte:
-            return None if shift == 0 else value
-        value |= (byte[0] & 0x7F) << shift
-        if not byte[0] & 0x80:
-            return value
-        shift += 7
-        if shift > 63:
-            raise TransportError("varint too long on socket")
-
-
-def _uvarint_bytes(value: int) -> bytes:
-    return Writer().uvarint(value).bytes()
-
-
-def _buf_uvarint(buf: bytes) -> Optional[Tuple[int, int]]:
-    """Parse one varint from the head of ``buf``; returns
-    ``(value, bytes_consumed)`` or ``None`` when incomplete."""
-    shift = 0
-    value = 0
-    for i, byte in enumerate(buf):
+    for i in range(pos, len(buf)):
+        byte = buf[i]
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return value, i + 1
@@ -800,6 +786,20 @@ def _buf_uvarint(buf: bytes) -> Optional[Tuple[int, int]]:
         if shift > 63:
             raise TransportError("varint too long on socket")
     return None
+
+
+def _next_frame(buf: bytes, pos: int = 0) -> Optional[Tuple[bytes, int]]:
+    """Parse one complete frame from ``buf`` at ``pos``; returns
+    ``(payload, position_after)`` or ``None`` when incomplete.  The one
+    frame decoder for both directions of the link."""
+    head = _buf_uvarint(buf, pos)
+    if head is None:
+        return None
+    length, start = head
+    end = start + length
+    if len(buf) < end:
+        return None
+    return bytes(buf[start:end]), end
 
 
 class SocketTransport(Transport):
@@ -871,6 +871,9 @@ class SocketTransport(Transport):
                 conn, _ = self._listener.accept()
             except OSError:
                 break               # listener closed: shut down
+            # Acks leave at once too, including the burst that answers
+            # a reconnect retransmit (see ``_connect``).
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._receiver_sock = conn
             try:
                 self._serve(conn)
@@ -886,52 +889,52 @@ class SocketTransport(Transport):
             self._cv.notify_all()
 
     def _serve(self, conn: socket.socket) -> None:
+        buf = bytearray()
         while True:
-            payload = self._read_frame(conn)
-            if payload is None:
-                return
-            r = Reader(payload)
-            frame_type = r.uvarint()
-            if frame_type == _FRAME_DATA:
-                seq = r.uvarint()
-                count = r.uvarint()
-                records = [r.raw(r.uvarint()) for _ in range(count)]
-                with self._cv:
-                    if seq > self._expected:
-                        # A gap can't arise from TCP ordering; only a
-                        # confused sender.  Hold nothing, ack nothing —
-                        # the retransmission protocol will fill it in.
-                        continue
-                    appended = 0
-                    if seq == self._expected:
-                        self._expected = seq + 1
-                        self.delivered.extend(records)
-                        appended = len(records)
-                        self._cv.notify_all()
-                    # seq < expected: duplicate after a reconnect — the
-                    # records are already in the log; just re-ack.
-                    acked = self._expected - 1
-                # NB: fires on the receiver thread, outside the lock.
-                if appended and self.on_deliver is not None:
-                    self.on_deliver(self, appended)
-                ack = Writer().uvarint(_FRAME_ACK).uvarint(acked).bytes()
-                conn.sendall(_uvarint_bytes(len(ack)) + ack)
-            elif frame_type == _FRAME_HEARTBEAT:
-                with self._cv:
-                    self.stats.heartbeats_delivered += 1
-
-    @staticmethod
-    def _read_frame(conn: socket.socket) -> Optional[bytes]:
-        length = _read_uvarint(conn)
-        if length is None:
-            return None
-        payload = b""
-        while len(payload) < length:
-            chunk = conn.recv(length - len(payload))
+            chunk = conn.recv(65536)
             if not chunk:
-                return None
-            payload += chunk
-        return payload
+                return              # EOF; a torn trailing frame is dropped
+            buf += chunk
+            pos = 0
+            while True:
+                frame = _next_frame(buf, pos)
+                if frame is None:
+                    break
+                payload, pos = frame
+                self._handle_frame(conn, payload)
+            del buf[:pos]
+
+    def _handle_frame(self, conn: socket.socket, payload: bytes) -> None:
+        r = Reader(payload)
+        frame_type = r.uvarint()
+        if frame_type == _FRAME_DATA:
+            seq = r.uvarint()
+            count = r.uvarint()
+            records = [r.raw(r.uvarint()) for _ in range(count)]
+            with self._cv:
+                if seq > self._expected:
+                    # A gap can't arise from TCP ordering; only a
+                    # confused sender.  Hold nothing, ack nothing —
+                    # the retransmission protocol will fill it in.
+                    return
+                appended = 0
+                if seq == self._expected:
+                    self._expected = seq + 1
+                    self.delivered.extend(records)
+                    appended = len(records)
+                    self._cv.notify_all()
+                # seq < expected: duplicate after a reconnect — the
+                # records are already in the log; just re-ack.
+                acked = self._expected - 1
+            # NB: fires on the receiver thread, outside the lock.
+            if appended and self.on_deliver is not None:
+                self.on_deliver(self, appended)
+            conn.sendall(_framed(
+                Writer().uvarint(_FRAME_ACK).uvarint(acked).bytes()
+            ))
+        elif frame_type == _FRAME_HEARTBEAT:
+            with self._cv:
+                self.stats.heartbeats_delivered += 1
 
     # -- sender side ---------------------------------------------------
     def _drop_connection(self) -> None:
@@ -949,15 +952,20 @@ class SocketTransport(Transport):
             self._sender = socket.create_connection(
                 self.address, timeout=self.timeout
             )
+            # Without this, every output commit stalls ~40 ms: the
+            # backup never answers a heartbeat, so its kernel delays
+            # the TCP ACK, and Nagle holds the next data frame until
+            # that ACK arrives.
+            self._sender.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._ever_connected:
                 self.stats.reconnects += 1
-                # Retransmit every unacked data frame in order; the
-                # receiver re-acks duplicates and appends the rest, so
-                # the contiguous prefix resumes exactly where it broke.
-                for seq in sorted(self._outbox):
-                    frame = self._outbox[seq]
-                    self.stats.retransmits += 1
-                    self._sender.sendall(_uvarint_bytes(len(frame)) + frame)
+                # Retransmit every unacked data frame in order, in one
+                # write; the receiver re-acks duplicates and appends
+                # the rest, so the contiguous prefix resumes exactly
+                # where it broke.
+                frames = [self._outbox[seq] for seq in sorted(self._outbox)]
+                self.stats.retransmits += len(frames)
+                self._sender.sendall(b"".join(map(_framed, frames)))
             self._ever_connected = True
         return self._sender
 
@@ -978,7 +986,7 @@ class SocketTransport(Transport):
             self._drop_connection()
 
     def _send_frame(self, payload: bytes) -> None:
-        frame = _uvarint_bytes(len(payload)) + payload
+        frame = _framed(payload)
         for attempt in (0, 1):
             try:
                 self._connect().sendall(frame)
@@ -1015,14 +1023,11 @@ class SocketTransport(Transport):
         cumulative ack advanced."""
         advanced = False
         while True:
-            head = _buf_uvarint(self._ack_buf)
-            if head is None:
+            frame = _next_frame(self._ack_buf)
+            if frame is None:
                 return advanced
-            length, consumed = head
-            if len(self._ack_buf) < consumed + length:
-                return advanced
-            payload = self._ack_buf[consumed:consumed + length]
-            self._ack_buf = self._ack_buf[consumed + length:]
+            payload, end = frame
+            self._ack_buf = self._ack_buf[end:]
             r = Reader(payload)
             if r.uvarint() != _FRAME_ACK:
                 continue

@@ -1,7 +1,12 @@
 """Environment sessions: volatile vs stable state, crash semantics."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.env.console import Console
 from repro.env.environment import Environment, SessionDestroyed
 from repro.env.filesystem import JavaIOError
@@ -110,3 +115,26 @@ def test_destroyed_session_blocks_everything():
                lambda: s.console_write("x"), lambda: s.open("f", "w")):
         with pytest.raises(SessionDestroyed):
             op()
+
+
+_SESSION_DRAW = (
+    "from repro.env.environment import Environment\n"
+    "s = Environment().attach('p')\n"
+    "print([s.random_int(1 << 30) for _ in range(4)], s.clock_ms())\n"
+)
+
+
+def _session_draw_under_hashseed(hashseed: str) -> str:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", _SESSION_DRAW], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+
+
+def test_default_entropy_seed_ignores_string_hash_salt():
+    """The default session seed derives from the process name; it must
+    not change with the interpreter's per-process string-hash salt."""
+    assert (_session_draw_under_hashseed("1")
+            == _session_draw_under_hashseed("2"))
