@@ -6,9 +6,12 @@ primary must hand it a *snapshot* of everything the replica state
 machine contains — heap (including unreachable objects, so allocation
 counters and GC trigger points survive exactly), statics, every thread
 with its frames and progress counters, monitor ownership and queues,
-the scheduler's runnable order, virtual time, the side-effect manager's
-volatile-state bookkeeping, and the stable-environment image for
-cold-site priming.
+the scheduler's runnable order, virtual time, and the side-effect
+manager's volatile-state bookkeeping.  The environment's stable state
+(files, console, committed responses) is deliberately *not* part of
+it (layout v3): like the paper's environment it lives outside the
+replica and survives a host crash, so a snapshot carrying a copy of it
+would only grow with the traffic served.
 
 The snapshot is serialized with the same compact wire format as log
 records and shipped as a sequence of
@@ -43,7 +46,8 @@ resolvable.  Promotion still strips them.
 Steady-state incremental checkpoints (:class:`DeltaCheckpoint`) reuse
 the same state layout but serialize only the heap objects mutated
 since the heap's last ``advance_era()`` plus the oids freed since
-then; the (small) non-heap sections ship whole.
+then; the (small) non-heap sections ship whole, so a delta's size
+tracks what changed, not how long the replica has been serving.
 :func:`compose_delta` merges a delta onto a decoded base snapshot and
 re-encodes a full :class:`Checkpoint` whose embedded digest is the
 digest the primary computed at delta capture time — so composition
@@ -53,7 +57,7 @@ restore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReplicationError
@@ -76,7 +80,9 @@ Vid = Tuple[int, ...]
 #: Bump when the snapshot layout changes incompatibly.
 #: v2: monitor blocks carry the optional l_id; a native-seq table and
 #: the capture-time schedule epoch joined the non-heap sections.
-_STATE_VERSION = 2
+#: v3: the stable-environment image is gone, and the native-seq table
+#: moved out of the payload into the checkpoint header.
+_STATE_VERSION = 3
 
 #: Default chunk payload size.  Small enough that a transfer spans many
 #: flushes (so mid-transfer crash points exist), large enough that the
@@ -176,6 +182,34 @@ def _read_opt_vid(r: Reader) -> Optional[Vid]:
     return r.vid() if r.uvarint() else None
 
 
+def _write_envelope(w: Writer, digest: StateDigest,
+                    native_seqs: Dict[Vid, int], payload: bytes) -> None:
+    """The tail shared by full and delta checkpoint headers."""
+    w.uvarint(len(digest.components))
+    for name, value in digest.components:
+        w.text(name).raw(value.to_bytes(16, "big"))
+    w.uvarint(len(native_seqs))
+    for vid in sorted(native_seqs):
+        w.vid(vid).uvarint(native_seqs[vid])
+    w.uvarint(len(payload)).raw(payload)
+
+
+def _read_envelope(r: Reader, what: str
+                   ) -> Tuple[StateDigest, Dict[Vid, int], bytes]:
+    components = []
+    for _ in range(r.uvarint()):
+        name = r.text()
+        components.append((name, int.from_bytes(r.raw(16), "big")))
+    native_seqs = {}
+    for _ in range(r.uvarint()):
+        vid = r.vid()
+        native_seqs[vid] = r.uvarint()
+    payload = r.raw(r.uvarint())
+    if not r.exhausted:
+        raise ReplicationError(f"trailing bytes after {what}")
+    return StateDigest(tuple(components)), native_seqs, payload
+
+
 # ======================================================================
 # Wire records
 # ======================================================================
@@ -253,21 +287,25 @@ class Checkpoint:
     ``sched_epoch`` is the primary's count of shipped ScheduleRecords
     at capture time: after steady-state log truncation the retained
     tail's DigestRecords still carry absolute epochs, so a replaying
-    backup offsets its consumed-record count by this value."""
+    backup offsets its consumed-record count by this value.
+
+    ``native_seqs`` holds the primary's per-thread native sequence
+    counters at capture: a backup seeded from this snapshot continues
+    that numbering instead of restarting at zero.  Like ``sched_epoch``
+    it is replication bookkeeping, not JVM state, so it rides in the
+    header and is readable without decoding the payload."""
 
     generation: int
     digest: StateDigest
     payload: bytes
     sched_epoch: int = 0
+    native_seqs: Dict[Vid, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
         w = Writer()
         w.uvarint(self.generation).uvarint(self.sched_epoch)
-        w.uvarint(len(self.digest.components))
-        for name, value in self.digest.components:
-            w.text(name).raw(value.to_bytes(16, "big"))
-        w.uvarint(len(self.payload)).raw(self.payload)
+        _write_envelope(w, self.digest, self.native_seqs, self.payload)
         return w.bytes()
 
     @staticmethod
@@ -275,15 +313,9 @@ class Checkpoint:
         r = Reader(data)
         generation = r.uvarint()
         sched_epoch = r.uvarint()
-        components = []
-        for _ in range(r.uvarint()):
-            name = r.text()
-            components.append((name, int.from_bytes(r.raw(16), "big")))
-        payload = r.raw(r.uvarint())
-        if not r.exhausted:
-            raise ReplicationError("trailing bytes after checkpoint")
-        return Checkpoint(generation, StateDigest(tuple(components)),
-                          payload, sched_epoch)
+        digest, native_seqs, payload = _read_envelope(r, "checkpoint")
+        return Checkpoint(generation, digest, payload, sched_epoch,
+                          native_seqs)
 
     # ------------------------------------------------------------------
     def to_chunks(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES
@@ -304,12 +336,6 @@ class Checkpoint:
     @property
     def byte_size(self) -> int:
         return len(self.payload)
-
-    def state(self) -> "_SnapshotState":
-        """Decode the payload into its structured form (tests, env
-        priming).  Heap references resolve to freshly built shell
-        objects, not to any live JVM."""
-        return _read_state(self.payload)
 
 
 class CheckpointAssembler:
@@ -381,16 +407,14 @@ class DeltaCheckpoint:
     sched_epoch: int
     digest: StateDigest
     payload: bytes
+    native_seqs: Dict[Vid, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
         w = Writer()
         w.uvarint(self.generation).uvarint(self.seq)
         w.uvarint(self.base_seq).uvarint(self.sched_epoch)
-        w.uvarint(len(self.digest.components))
-        for name, value in self.digest.components:
-            w.text(name).raw(value.to_bytes(16, "big"))
-        w.uvarint(len(self.payload)).raw(self.payload)
+        _write_envelope(w, self.digest, self.native_seqs, self.payload)
         return w.bytes()
 
     @staticmethod
@@ -400,15 +424,9 @@ class DeltaCheckpoint:
         seq = r.uvarint()
         base_seq = r.uvarint()
         sched_epoch = r.uvarint()
-        components = []
-        for _ in range(r.uvarint()):
-            name = r.text()
-            components.append((name, int.from_bytes(r.raw(16), "big")))
-        payload = r.raw(r.uvarint())
-        if not r.exhausted:
-            raise ReplicationError("trailing bytes after delta checkpoint")
+        digest, native_seqs, payload = _read_envelope(r, "delta checkpoint")
         return DeltaCheckpoint(generation, seq, base_seq, sched_epoch,
-                               StateDigest(tuple(components)), payload)
+                               digest, payload, native_seqs)
 
     # ------------------------------------------------------------------
     def to_chunks(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES
@@ -543,8 +561,7 @@ def _thread_dict(t: JavaThread) -> Dict[str, Any]:
     }
 
 
-def _capture_state(jvm: JVM, se_manager, env_snapshot: Dict[str, str],
-                   native_seqs: Optional[Dict[Vid, int]],
+def _capture_state(jvm: JVM, se_manager,
                    include_heap: bool = True) -> "_SnapshotState":
     """Build the structured snapshot of a live JVM.
 
@@ -590,7 +607,6 @@ def _capture_state(jvm: JVM, se_manager, env_snapshot: Dict[str, str],
     s.largest_l_asn = sync.largest_l_asn
     s.parked_vids = [t.vid for t in sync.parked_threads]
 
-    s.native_seqs = dict(native_seqs or {})
     s.class_locks = {name: obj.oid
                      for name, obj in jvm._class_locks.items()}
     s.daemon_requests = dict(jvm._daemon_requests)
@@ -598,7 +614,6 @@ def _capture_state(jvm: JVM, se_manager, env_snapshot: Dict[str, str],
     s.main_vid = (jvm.main_thread.vid
                   if jvm.main_thread is not None else None)
     s.se_state = se_manager.snapshot()
-    s.env_snapshot = dict(env_snapshot)
     return s
 
 
@@ -715,11 +730,6 @@ def _write_nonheap(w: Writer, s: "_SnapshotState") -> None:
     for vid in s.parked_vids:
         w.vid(vid)
 
-    # --- native sequence counters (v2) ---------------------------------
-    w.uvarint(len(s.native_seqs))
-    for vid in sorted(s.native_seqs):
-        w.vid(vid).uvarint(s.native_seqs[vid])
-
     # --- naming tables / misc ------------------------------------------
     w.uvarint(len(s.class_locks))
     for name in sorted(s.class_locks):
@@ -732,9 +742,8 @@ def _write_nonheap(w: Writer, s: "_SnapshotState") -> None:
         w.text(vid_str).text(class_name).text(message)
     _write_opt_vid(w, s.main_vid)
 
-    # --- side-effect handler state / stable environment ----------------
+    # --- side-effect handler state -------------------------------------
     _write_value(w, s.se_state)
-    _write_value(w, dict(s.env_snapshot))
 
 
 def _encode_state(s: "_SnapshotState") -> bytes:
@@ -764,7 +773,6 @@ def _encode_state(s: "_SnapshotState") -> bytes:
 
 
 def take_checkpoint(jvm: JVM, se_manager, *, generation: int,
-                    env_snapshot: Optional[Dict[str, str]] = None,
                     native_seqs: Optional[Dict[Vid, int]] = None,
                     sched_epoch: int = 0) -> Checkpoint:
     """Snapshot ``jvm`` (plus side-effect-handler state) as of now.
@@ -774,13 +782,13 @@ def take_checkpoint(jvm: JVM, se_manager, *, generation: int,
     from the same state the payload serializes, which is what lets the
     receiver verify the restore."""
     digest = compute_state_digest(jvm, include_env=False)
-    state = _capture_state(jvm, se_manager, env_snapshot or {}, native_seqs)
-    return Checkpoint(generation, digest, _encode_state(state), sched_epoch)
+    state = _capture_state(jvm, se_manager)
+    return Checkpoint(generation, digest, _encode_state(state), sched_epoch,
+                      dict(native_seqs or {}))
 
 
 def take_delta_checkpoint(jvm: JVM, se_manager, *, generation: int,
                           seq: int, base_seq: int, sched_epoch: int = 0,
-                          env_snapshot: Optional[Dict[str, str]] = None,
                           native_seqs: Optional[Dict[Vid, int]] = None
                           ) -> DeltaCheckpoint:
     """Capture the state changed since the heap's last ``advance_era()``.
@@ -814,11 +822,9 @@ def take_delta_checkpoint(jvm: JVM, se_manager, *, generation: int,
                  else None)
         _write_object_body(w, obj, block)
 
-    s = _capture_state(jvm, se_manager, env_snapshot or {}, native_seqs,
-                       include_heap=False)
-    _write_nonheap(w, s)
+    _write_nonheap(w, _capture_state(jvm, se_manager, include_heap=False))
     return DeltaCheckpoint(generation, seq, base_seq, sched_epoch,
-                           digest, w.bytes())
+                           digest, w.bytes(), dict(native_seqs or {}))
 
 
 def compose_delta(base: Checkpoint, delta: DeltaCheckpoint) -> Checkpoint:
@@ -912,7 +918,7 @@ def compose_delta(base: Checkpoint, delta: DeltaCheckpoint) -> Checkpoint:
         raise ReplicationError("trailing bytes after delta state")
 
     return Checkpoint(delta.generation, delta.digest, _encode_state(s),
-                      delta.sched_epoch)
+                      delta.sched_epoch, delta.native_seqs)
 
 
 # ======================================================================
@@ -947,16 +953,11 @@ class _SnapshotState:
         self.monitors_created = 0
         self.largest_l_asn = 0
         self.parked_vids: List[Vid] = []
-        #: Per-thread native sequence counters at capture (v2): a
-        #: backup seeded from this state must continue the primary's
-        #: native numbering, not restart at zero.
-        self.native_seqs: Dict[Vid, int] = {}
         self.class_locks: Dict[str, int] = {}
         self.daemon_requests: Dict[int, bool] = {}
         self.uncaught: List[Tuple[str, str, str]] = []
         self.main_vid: Optional[Vid] = None
         self.se_state: Dict[str, Dict[str, Any]] = {}
-        self.env_snapshot: Dict[str, str] = {}
 
 
 def _read_object_body(r: Reader, obj: Any, resolve: Callable[[int], Any],
@@ -1096,10 +1097,6 @@ def _read_nonheap(r: Reader, s: _SnapshotState,
     s.monitors_created = r.uvarint()
     s.largest_l_asn = r.uvarint()
     s.parked_vids = [r.vid() for _ in range(r.uvarint())]
-    s.native_seqs = {}
-    for _ in range(r.uvarint()):
-        vid = r.vid()
-        s.native_seqs[vid] = r.uvarint()
     s.class_locks = {}
     for _ in range(r.uvarint()):
         name = r.text()
@@ -1113,7 +1110,6 @@ def _read_nonheap(r: Reader, s: _SnapshotState,
         s.uncaught.append((r.text(), r.text(), r.text()))
     s.main_vid = _read_opt_vid(r)
     s.se_state = _read_value(r, _no_refs)
-    s.env_snapshot = _read_value(r, _no_refs)
 
 
 # ======================================================================

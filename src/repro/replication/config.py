@@ -93,10 +93,6 @@ class ReplicationConfig:
     settings_for: Optional[Callable[[int], ReplicaSettings]] = None
     #: Checkpoint transfer chunk size (None = DEFAULT_CHUNK_BYTES).
     chunk_bytes: Optional[int] = None
-    #: Number of recovery bases maintained from the checkpoint stream.
-    #: Every adopted checkpoint re-arms all k bases, so after a crash
-    #: any of them can seed the next generation's backup.
-    k_backups: int = 1
 
     # -- voting only (VotingGroup) --------------------------------------
     #: Byzantine mode: run ``n_members = 2f+1`` replicas that ballot on

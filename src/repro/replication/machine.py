@@ -400,7 +400,6 @@ class ReplicatedJVM:
                 self.shipper, self.channel, self.primary_metrics,
                 se_manager,
                 interval=self.checkpoint_interval,
-                env_snapshot=self.env.snapshot_stable,
                 verify_restore=(self._verify_adopted
                                 if self.config.verify_checkpoints else None),
                 on_adopt=self._on_steady_adopt,
@@ -426,7 +425,7 @@ class ReplicatedJVM:
         finally:
             session.destroy()
 
-    def _on_steady_adopt(self, checkpoint: Checkpoint, delta) -> None:
+    def _on_steady_adopt(self, checkpoint: Checkpoint) -> None:
         if self._serve_port is not None:
             # Requests consumed so far are baked into the basis; only
             # post-checkpoint recv records count at reconciliation.
@@ -469,7 +468,7 @@ class ReplicatedJVM:
         )
         policy.hold_when_drained = self.hot_backup
         if basis is not None:
-            policy.seed_seqs(basis.state().native_seqs)
+            policy.seed_seqs(basis.native_seqs)
         jvm.native_policy = policy
         self._backup_se_manager = se_manager
         driver = self._strategy.make_backup(parsed, metrics, settings, config)

@@ -23,8 +23,9 @@ with heap size:
    port), the primary captures a :class:`DeltaCheckpoint` and ships
    its chunks through the ordinary log channel, then performs a
    checkpoint commit (flush + ack) exactly like an output commit;
-3. the receive side reassembles the chunks *from the wire*, composes
-   the delta onto its retained basis (:func:`compose_delta` — pure
+3. the receive side reassembles the chunks *from the wire* (only the
+   records delivered since the emission began), composes the delta
+   once onto its retained basis (:func:`compose_delta` — pure
    state surgery, no JVM), optionally verifies the composed snapshot
    by restoring it into a scratch machine and re-deriving the digest,
    and only then truncates the delivered log to empty;
@@ -41,7 +42,7 @@ interval, not by run length.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ReplicationError
 from repro.replication.checkpoint import (
@@ -95,9 +96,9 @@ class SteadyCheckpointer:
 
     ``verify_restore(checkpoint)`` — optional callback that restores
     the composed snapshot into a scratch machine (raising on digest
-    mismatch); ``on_adopt(checkpoint, delta)`` — optional bookkeeping
+    mismatch); ``on_adopt(checkpoint)`` — optional bookkeeping
     callback fired after adoption but *before* log truncation (the
-    replica group re-arms its k recovery bases and re-biases the
+    replica group moves its recovery basis and re-biases the
     request-port accounting here).
     """
 
@@ -106,9 +107,9 @@ class SteadyCheckpointer:
                  generation: int = 0,
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                  basis: Optional[Checkpoint] = None,
-                 env_snapshot: Optional[Callable[[], Dict[str, str]]] = None,
                  verify_restore: Optional[Callable[[Checkpoint], None]] = None,
-                 on_adopt: Optional[Callable] = None) -> None:
+                 on_adopt: Optional[Callable[[Checkpoint], None]] = None
+                 ) -> None:
         if interval is None or interval < 1:
             raise ReplicationError(
                 f"checkpoint_interval must be a positive slice count, "
@@ -127,7 +128,6 @@ class SteadyCheckpointer:
         #: Stream position: seq of the current basis (-1 = none yet).
         #: The replica group's arm-time full checkpoint is seq 0.
         self.seq = -1 if basis is None else 0
-        self._env_snapshot = env_snapshot or (lambda: {})
         self._verify_restore = verify_restore
         self._on_adopt = on_adopt
         self._slices = 0
@@ -187,11 +187,13 @@ class SteadyCheckpointer:
         policy = jvm.native_policy
         native_seqs = (policy.native_seqs()
                        if hasattr(policy, "native_seqs") else None)
+        # Delivery is a contiguous prefix, so every record this emission
+        # ships lands at or after the current end of the delivered log.
+        start = len(self._channel.delivered)
 
         if self.basis is None:
             full = take_checkpoint(
                 jvm, self._se_manager, generation=self.generation,
-                env_snapshot=self._env_snapshot(),
                 native_seqs=native_seqs, sched_epoch=sched_epoch,
             )
             chunks = full.to_chunks(self.chunk_bytes)
@@ -204,7 +206,6 @@ class SteadyCheckpointer:
                 jvm, self._se_manager, generation=self.generation,
                 seq=self.seq + 1, base_seq=self.seq,
                 sched_epoch=sched_epoch,
-                env_snapshot=self._env_snapshot(),
                 native_seqs=native_seqs,
             )
             chunks = delta.to_chunks(self.chunk_bytes)
@@ -214,7 +215,7 @@ class SteadyCheckpointer:
                 metrics.delta_bytes += len(chunk.data)
         self._shipper.checkpoint_commit()
 
-        composed, delta = self._adopt_from_wire()
+        composed, delta = self._adopt_from_wire(start)
         if self._verify_restore is not None:
             self._verify_restore(composed)
         self.basis = composed
@@ -223,18 +224,21 @@ class SteadyCheckpointer:
         if delta is not None:
             metrics.deltas_shipped += 1
         if self._on_adopt is not None:
-            self._on_adopt(composed, delta)
+            self._on_adopt(composed)
         self._shipper.truncate_at_checkpoint(len(self._channel.delivered))
         jvm.heap.advance_era()
 
     # ------------------------------------------------------------------
-    def _adopt_from_wire(self) -> Tuple[Checkpoint,
-                                        Optional[DeltaCheckpoint]]:
+    def _adopt_from_wire(self, start: int
+                         ) -> Tuple[Checkpoint, Optional[DeltaCheckpoint]]:
         """The receive half: reassemble the acknowledged transfer from
         the *delivered wire records* (not the in-memory object), so
         chunk framing and assembler idempotence are exercised on every
-        emission, then compose onto the basis."""
-        raw = self._channel.backup_log()
+        emission, then compose onto the basis.  Only records delivered
+        from ``start`` (the log's end when the emission began) are
+        decoded: everything before it was shipped before this transfer
+        and cannot hold its chunks."""
+        raw = self._channel.backup_log(start)
         if self._shipper.epoch is not None:
             raw = EpochFence(self._shipper.epoch,
                              self._metrics).filter_raw(raw)

@@ -57,8 +57,6 @@ from repro.replication.checkpoint import (
     Checkpoint,
     CheckpointAssembler,
     CheckpointChunkRecord,
-    DeltaCheckpoint,
-    compose_delta,
     first_dispatch_vid,
     restore_checkpoint,
     take_checkpoint,
@@ -292,11 +290,6 @@ class ReplicaGroup:
         self.chunk_bytes = (DEFAULT_CHUNK_BYTES if config.chunk_bytes is None
                             else config.chunk_bytes)
         self.checkpoint_interval = config.checkpoint_interval
-        self.k_backups = config.k_backups
-        if self.k_backups < 1:
-            raise ReplicationError(
-                f"k_backups must be at least 1, got {self.k_backups}"
-            )
 
         #: Per-generation reports, appended as the run progresses.
         self.reports: List[GenerationReport] = []
@@ -304,13 +297,9 @@ class ReplicaGroup:
         self.final_jvm: Optional[JVM] = None
 
         # --- recovery basis: everything the surviving side knows -------
-        #: Last checkpoint fully transferred and digest-verified.
+        #: Recovery basis: the last fully transferred and adopted
+        #: checkpoint — arm-time full, then every adopted steady one.
         self._ckpt: Optional[Checkpoint] = None
-        #: The k recovery bases, all re-armed from the same checkpoint
-        #: stream: every adopted checkpoint (arm-time full or steady
-        #: delta) updates each slot independently, so after a crash any
-        #: slot can seed the next generation's backup.
-        self._backup_bases: List[Checkpoint] = []
         #: Scratch-restore sessions attached for steady verification.
         self._verify_sessions = 0
         #: Epoch that shipped (and therefore stamps) the basis records.
@@ -480,7 +469,7 @@ class ReplicaGroup:
             # A steady (mid-generation) basis carries the crashed
             # primary's per-thread native numbering; the tail's records
             # hold absolute seqs, so replay must resume the counters.
-            policy.seed_seqs(self._ckpt.state().native_seqs)
+            policy.seed_seqs(self._ckpt.native_seqs)
         jvm.native_policy = policy
         driver = self._strategy.make_backup(parsed, metrics, settings, config)
         driver.install(jvm)
@@ -572,7 +561,6 @@ class ReplicaGroup:
             verify_session.destroy()
         shipper.truncate_at_checkpoint(n_chunks)
         self._ckpt = checkpoint
-        self._backup_bases = [checkpoint] * self.k_backups
         self._ckpt_epoch = generation
         self._exec_raw = []
         self._stale_raw = []
@@ -598,25 +586,9 @@ class ReplicaGroup:
         finally:
             session.destroy()
 
-    def _adopt_steady(self, composed: Checkpoint,
-                      delta: Optional[DeltaCheckpoint]) -> None:
-        """Re-arm every recovery basis from the checkpoint stream: the
-        delta composes onto each retained slot independently, and all
-        k results must agree with the adopted snapshot — composition
-        is pure state surgery, so a disagreement is a corruption."""
-        if delta is not None:
-            slots = [compose_delta(base, delta)
-                     for base in self._backup_bases]
-        else:
-            slots = [composed] * self.k_backups
-        for index, slot in enumerate(slots):
-            if slot.digest != composed.digest:
-                raise ReplicationError(
-                    f"recovery basis slot {index} diverged after delta "
-                    f"seq {delta.seq}: digest {slot.digest.hex()} != "
-                    f"adopted {composed.digest.hex()}"
-                )
-        self._backup_bases = slots
+    def _adopt_steady(self, composed: Checkpoint) -> None:
+        """Move the recovery basis to the adopted steady checkpoint
+        (already composed, and verified when ``verify_checkpoints``)."""
         self._ckpt = composed
         if self._gen is not None:
             self._gen.report.steady_checkpoints += 1
@@ -701,10 +673,7 @@ class ReplicaGroup:
 
         # Quiescent snapshot first, then primary instrumentation —
         # the checkpoint must not contain primary-side hooks.
-        checkpoint = take_checkpoint(
-            jvm, se_manager, generation=generation,
-            env_snapshot=self.env.snapshot_stable(),
-        )
+        checkpoint = take_checkpoint(jvm, se_manager, generation=generation)
         if self.checkpoint_interval is not None:
             # Open the dirty window at the capture point: everything
             # mutated from here on belongs to the first steady delta.
@@ -741,7 +710,6 @@ class ReplicaGroup:
                 generation=generation,
                 chunk_bytes=self.chunk_bytes,
                 basis=self._ckpt,
-                env_snapshot=self.env.snapshot_stable,
                 verify_restore=(self._verify_steady
                                 if self.config.verify_checkpoints
                                 else None),

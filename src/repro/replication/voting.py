@@ -1203,7 +1203,7 @@ class VotingGroup:
     def _assemble(self, start: int) -> Checkpoint:
         """Reassemble the checkpoint whose chunks were shipped after
         record index ``start`` of the delivered log."""
-        raw = self._channel.backup_log()[start:]
+        raw = self._channel.backup_log(start)
         fence = EpochFence(self._era, self._era_metrics)
         assembler = CheckpointAssembler()
         checkpoint: Optional[Checkpoint] = None
@@ -1245,7 +1245,7 @@ class VotingGroup:
 
         policy = BackupNativePolicy({}, {}, se_manager, metrics)
         policy.hold_when_drained = True
-        policy.seed_seqs(checkpoint.state().native_seqs)
+        policy.seed_seqs(checkpoint.native_seqs)
         jvm.native_policy = policy
         driver = self._strategy.make_backup(parse_log([]), metrics,
                                             settings, config)
@@ -1305,10 +1305,7 @@ class VotingGroup:
         # checkpoint must not contain proposer-side hooks.  No
         # native_seqs: each era's fresh proposer policy restarts native
         # numbering at 1, and the followers must count the same way.
-        checkpoint = take_checkpoint(
-            jvm, se_manager, generation=era,
-            env_snapshot=self.env.snapshot_stable(),
-        )
+        checkpoint = take_checkpoint(jvm, se_manager, generation=era)
         report.checkpoint_bytes = checkpoint.byte_size
 
         policy = PrimaryNativePolicy(shipper, metrics, se_manager)
@@ -1382,7 +1379,6 @@ class VotingGroup:
         report = self.reports[-1]
         checkpoint = take_checkpoint(
             jvm, self._proposer_se, generation=era,
-            env_snapshot=self.env.snapshot_stable(),
             native_seqs=self._proposer_policy.native_seqs(),
             sched_epoch=self._emitter.epoch,
         )
@@ -1499,7 +1495,7 @@ class VotingGroup:
             parsed.results, parsed.intents, se_manager, metrics
         )
         policy.hold_when_drained = True
-        policy.seed_seqs(self._basis.state().native_seqs)
+        policy.seed_seqs(self._basis.native_seqs)
         jvm.native_policy = policy
         driver = self._strategy.make_backup(parsed, metrics, settings,
                                             config)
@@ -1702,7 +1698,6 @@ class VotingGroup:
         era = self._era
         checkpoint = take_checkpoint(
             self._proposer_jvm, self._proposer_se, generation=era,
-            env_snapshot=self.env.snapshot_stable(),
         )
         report = self.reports[-1]
         report.outcome = "demoted"

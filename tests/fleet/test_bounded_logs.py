@@ -9,6 +9,7 @@ replay only the post-checkpoint tail.
 """
 
 from repro.fleet import Fleet, TrafficSpec
+from repro.replication.checkpoint import Checkpoint
 from repro.replication.config import ReplicationConfig
 
 #: Replay-budget slack on top of the retained-log high-water mark
@@ -45,15 +46,21 @@ def test_long_run_retained_log_is_flat_in_traffic_volume():
 
 
 def test_long_run_snapshot_count_is_bounded():
-    """Steady emission re-arms the recovery basis in place: hundreds of
-    checkpoints adopted, but only k retained snapshots at any time."""
-    fleet = Fleet(2, config=ReplicationConfig(checkpoint_interval=4,
-                                              k_backups=2))
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=200, seed=3))
-    assert metrics.exactly_once
-    for group in fleet.groups:
-        assert group.reports[-1].steady_checkpoints > 20
-        assert len(group._backup_bases) == 2
+    """Steady emission moves the recovery basis in place: hundreds of
+    checkpoints adopted, one retained snapshot, and its size does not
+    grow with the responses served (they live in the environment)."""
+    basis_bytes = []
+    for n_requests in (100, 300):
+        fleet = Fleet(2, config=ReplicationConfig(checkpoint_interval=4))
+        metrics = fleet.serve_open_loop(
+            TrafficSpec(n_requests=n_requests, seed=3))
+        assert metrics.exactly_once
+        for group in fleet.groups:
+            assert group.reports[-1].steady_checkpoints > 20
+            assert isinstance(group._ckpt, Checkpoint)
+            basis_bytes.append(group._ckpt.byte_size)
+    # Tripled traffic: 200 more stored responses would add ~5 KB.
+    assert max(basis_bytes) <= min(basis_bytes) + 128, basis_bytes
 
 
 def test_no_interval_means_no_steady_emission():

@@ -12,14 +12,21 @@ The tentpole invariants, at the pair-machine and replica-group levels:
   any point, including inside a delta emission;
 * log truncation never drops records a re-integration transfer still
   needs — the steady emitter only arms after the arm-time transfer is
-  fully adopted, and every truncation happens at an adoption boundary.
+  fully adopted, and every truncation happens at an adoption boundary;
+* a delta costs what changed: neither a delta nor the composed basis
+  grows with the number of responses served, and a composition that
+  loses or skews a dirty object is refused at adoption.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.env.environment import Environment
 from repro.errors import ReplicationError
 from repro.minijava import compile_program
+from repro.replication import checkpoint as ckpt_mod
+from repro.replication import steady as steady_mod
 from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.supervisor import ReplicaGroup
@@ -61,6 +68,35 @@ class Main {
     }
 }
 """
+
+
+#: An echo server with one reachable heap object dirtied by every request.
+TALLY_SERVER = """
+class Tally { int hits; int bytes; }
+class Main {
+    static Tally tally;
+    static void main(String[] args) {
+        tally = new Tally();
+        boolean run = true;
+        while (run) {
+            String req = Server.recv("req");
+            if (req.startsWith("stop")) {
+                run = false;
+            } else {
+                tally.hits = tally.hits + 1;
+                tally.bytes = tally.bytes + req.length();
+                Server.reply(req, "ok:" + tally.hits);
+            }
+        }
+        System.println("served " + tally.hits);
+    }
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def tally_registry():
+    return compile_program(TALLY_SERVER)
 
 
 @pytest.fixture(scope="module")
@@ -204,13 +240,13 @@ def test_clone_carries_checkpoint_interval(multi_registry):
 
 
 # ======================================================================
-# Replica group: k bases, chained crashes, transfer/truncation safety
+# Replica group: chained crashes, transfer/truncation safety
 # ======================================================================
 def test_group_steady_survives_chained_crashes(echo_registry):
     env = Environment()
     group = ReplicaGroup(echo_registry, env=env,
                          config=ReplicationConfig(
-                             checkpoint_interval=4, k_backups=2,
+                             checkpoint_interval=4,
                              crash_schedule={0: 25, 1: 40},
                              max_failures=6))
     group.start_serving("Main", port="req")
@@ -269,20 +305,79 @@ def test_group_truncation_never_races_arm_transfer(multi_registry):
         assert group.reports[1].outcome == "crashed_in_transfer", crash_at
 
 
-def test_group_k_bases_stay_in_lockstep(echo_registry):
-    """All k recovery bases are re-armed from the same stream; the
-    composition check runs at every adoption, so a completed run with
-    crashes is evidence every slot agreed at every step."""
+def test_group_steady_checkpoints_stay_flat_in_responses_served(
+        tally_registry, monkeypatch):
+    """Committed responses live in the environment, outside the
+    replica: the delta after 80 served requests is no larger than the
+    one after 20, and neither is the composed recovery basis."""
+    deltas = []
+    capture = ckpt_mod.take_delta_checkpoint
+
+    def recording_capture(*args, **kwargs):
+        delta = capture(*args, **kwargs)
+        deltas.append(delta)
+        return delta
+
+    monkeypatch.setattr(ckpt_mod, "take_delta_checkpoint", recording_capture)
     env = Environment()
-    group = ReplicaGroup(echo_registry, env=env,
-                         config=ReplicationConfig(
-                             checkpoint_interval=3, k_backups=3,
-                             crash_schedule={0: 30}))
+    group = ReplicaGroup(tally_registry, env=env,
+                         config=ReplicationConfig(checkpoint_interval=3))
     group.start_serving("Main", port="req")
-    for i in range(10):
-        group.serve(f"r{i:03d} get {i}")
+    sizes = {}
+    for i in range(80):
+        assert group.serve(f"r{i:03d} get") == f"ok:{i + 1}"
+        if i + 1 in (20, 80):
+            sizes[i + 1] = (deltas[-1].byte_size, group._ckpt.byte_size)
+    # The group's basis is the emitter's single composition of each
+    # delta, not a second composition of its own.
+    assert group._ckpt is group._gen.steady.basis
     result = group.stop_serving("stop")
     assert result.outcome == "completed"
-    assert len(group._backup_bases) == 3
-    digests = {base.digest.components for base in group._backup_bases}
-    assert len(digests) == 1
+    assert env.responses.count() == 80
+    assert len(deltas) > 40
+    metrics = group.reports[-1].primary_metrics
+    assert metrics.deltas_composed == metrics.deltas_shipped == len(deltas)
+    # Counters crossing a varint byte boundary may add a few bytes;
+    # 60 more stored responses would add well over a kilobyte.
+    (delta_20, basis_20), (delta_80, basis_80) = sizes[20], sizes[80]
+    assert delta_80 <= delta_20 + 16, sizes
+    assert basis_80 <= basis_20 + 16, sizes
+
+
+def _tampering_composer(mode):
+    """A faulty ``compose_delta``: composes correctly, then loses
+    (``drop``) or skews (``skew``) the dirty ``Tally`` object — reachable
+    from a static — while keeping the delta's embedded digest."""
+    def compose(base, delta):
+        good = ckpt_mod.compose_delta(base, delta)
+        state = ckpt_mod._read_state(good.payload)
+        before = ckpt_mod._read_state(base.payload).by_oid
+        for obj in state.objects:
+            if getattr(obj, "class_name", None) != "Tally":
+                continue
+            old = before.get(obj.oid)
+            if old is None or old.fields == obj.fields:
+                return good     # not dirty in this delta
+            if mode == "drop":
+                obj.fields = dict(old.fields)
+            else:
+                obj.fields["hits"] += 1
+        return replace(good, payload=ckpt_mod._encode_state(state))
+    return compose
+
+
+@pytest.mark.parametrize("mode", ["drop", "skew"])
+def test_group_verify_refuses_a_tampered_composition(tally_registry,
+                                                     monkeypatch, mode):
+    """Mutation check on the steady verify-restore: a composition that
+    loses or skews one reachable dirty object keeps the delta's digest,
+    so restoring it must diverge and the adoption must be refused."""
+    monkeypatch.setattr(steady_mod, "compose_delta",
+                        _tampering_composer(mode))
+    env = Environment()
+    group = ReplicaGroup(tally_registry, env=env,
+                         config=ReplicationConfig(checkpoint_interval=3))
+    group.start_serving("Main", port="req")
+    with pytest.raises(ReplicationError, match="diverged in component"):
+        for i in range(20):
+            group.serve(f"r{i:03d} get")
